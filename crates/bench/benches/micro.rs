@@ -19,6 +19,7 @@
 //! fewer repetitions and a smaller time budget, same output shape.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -435,6 +436,19 @@ fn main() {
     let _ = vira_obs::drain();
     let counter = vira_obs::counter("obs_bench_scratch_total");
     h.bench("obs/counter_inc", || counter.inc());
+    // The same counter while a second thread bumps it nonstop: the
+    // cache-line ping-pong a shared counter costs co-located ranks, and
+    // the reason kernels add their lane chunks once per call, not per row.
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                counter.add(1);
+            }
+        });
+        h.bench("obs/counter_add_contended_2t", || counter.add(1));
+        stop.store(true, Ordering::Relaxed);
+    });
     let ctx = vira_obs::TraceCtx {
         trace_id: 0x5eed,
         parent_span_id: 7,

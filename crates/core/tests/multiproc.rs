@@ -401,6 +401,9 @@ fn spawn_rejoin_worker(sock: &Path, claim_rank: usize) -> Child {
 
 /// In-process ProgressiveIso run — the uncancelled triangle count the
 /// cross-process cancel leg must stay strictly below.
+/// Triangles per packet of the cancelled ProgressiveIso job.
+const CANCEL_BATCH: usize = 4;
+
 fn in_process_progressive_triangles() -> u64 {
     let mut config = ViracochaConfig::for_tests(RANKS);
     config.proxy.prefetcher = "obl".into();
@@ -417,7 +420,8 @@ fn in_process_progressive_triangles() -> u64 {
             params: CommandParams::new()
                 .set("iso", 0.15)
                 .set("n_steps", 4)
-                .set("levels", 5),
+                .set("levels", 5)
+                .set("batch", CANCEL_BATCH),
             workers: RANKS,
         })
         .expect("in-process progressive job");
@@ -439,8 +443,13 @@ fn cross_process_cancel_truncates_the_job() {
     let _g = serial();
     let tmp = TempDir::new("cancel");
     let sock = tmp.path().join("hub.sock");
-    // ProgressiveIso with extra levels: a long, many-packet job, so
-    // the cancel lands while plenty of extraction is still ahead.
+    // ProgressiveIso over all four cube steps (the cube has no more)
+    // with extra levels, cut into 4-triangle packets. The cube's one
+    // block puts all four steps on one rank, which checks the cancel
+    // flag before each step: an uncancelled run streams ~1,300 packets,
+    // ~320 per step, so the cancel fired after the first packet lands
+    // long before the last step starts. At the default batch (2,000)
+    // the job is 12 packets, few enough to finish before the cancel lands.
     let serve = spawn_serve(
         &sock,
         &[
@@ -453,6 +462,8 @@ fn cross_process_cancel_truncates_the_job() {
             "n_steps=4",
             "--param",
             "levels=5",
+            "--param",
+            &format!("batch={CANCEL_BATCH}"),
             "--cancel-after-packets",
             "1",
         ],

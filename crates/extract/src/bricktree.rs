@@ -8,8 +8,10 @@
 //! the block. An extraction pass at iso level `c` consults the tree to
 //! skip whole bricks whose range cannot contain `c` — without reading a
 //! single cell of them. Construction is one cheap pass over the field
-//! (`ScalarField::range_over_points` keeps the inner loop on contiguous
-//! slices), so the tree pays for itself after a fraction of one
+//! (`ScalarFieldSoAView::range_over_points` keeps the inner loop on
+//! contiguous point rows, and the build adds the lane chunks of all of
+//! them to `extract_lane_chunks_total` once, not once per row), so the
+//! tree pays for itself after a fraction of one
 //! extraction; callers that re-extract with varying iso levels (the
 //! explorative loop of §1.1) amortize it further by caching the tree
 //! alongside the derived field (`viracocha::derived`).
@@ -23,6 +25,7 @@
 
 use vira_grid::block::BlockDims;
 use vira_grid::field::{ScalarField, ScalarFieldSoA, ScalarFieldSoAView};
+use vira_grid::lanes;
 
 /// Cells per brick edge at the finest level.
 pub const BRICK: usize = 4;
@@ -84,11 +87,13 @@ impl BrickTree {
     }
 
     /// Builds the tree from a borrowed sample view; the row-contiguous
-    /// per-brick scans run through the lane-parallel min/max fold.
+    /// per-brick scans run through the lane-parallel min/max fold, and
+    /// their lane chunks are recorded once when the build finishes.
     pub fn build_view(field: ScalarFieldSoAView<'_>) -> BrickTree {
         let dims = field.dims;
         let (ci, cj, ck) = dims.cell_dims();
         let mut levels = Vec::new();
+        let mut lane_chunks = 0u64;
 
         // Finest level: point ranges per brick of BRICK³ cells. A brick
         // covering cells [c0, c1) touches points [c0, c1] inclusive.
@@ -104,15 +109,18 @@ impl BrickTree {
                     let i1 = ((bx + 1) * BRICK).min(ci);
                     let j1 = ((by + 1) * BRICK).min(cj);
                     let k1 = ((bz + 1) * BRICK).min(ck);
-                    ranges.push(field.range_over_points(
+                    let (i, j, k) = (
                         bx * BRICK..(i1 + 1).min(dims.ni),
                         by * BRICK..(j1 + 1).min(dims.nj),
                         bz * BRICK..(k1 + 1).min(dims.nk),
-                    ));
+                    );
+                    lane_chunks += (j.len() * k.len()) as u64 * lanes::chunks_for(i.len());
+                    ranges.push(field.range_over_points(i, j, k));
                 }
             }
         }
         levels.push(Level { nx, ny, nz, ranges });
+        lanes::record_chunks(lane_chunks);
 
         // Coarser levels: combine 2×2×2 children until one root brick.
         while levels.last().map(|l| l.nx * l.ny * l.nz > 1) == Some(true) {

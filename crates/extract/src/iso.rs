@@ -51,9 +51,11 @@ pub fn extract_isosurface_with_tree(
     iso: f64,
     tree: Option<&BrickTree>,
 ) -> (TriangleSoup, IsoStats) {
+    // One unbounded batch: the sink runs at most once, so it takes the
+    // soup instead of copying it.
     let mut soup = TriangleSoup::new();
     let stats = extract_streamed_with_tree(grid, field, iso, tree, usize::MAX, |batch| {
-        soup.extend_from(&batch);
+        soup = batch;
     });
     (soup, stats)
 }
@@ -113,9 +115,11 @@ pub fn extract_isosurface_soa_with_tree(
     iso: f64,
     tree: Option<&BrickTree>,
 ) -> (TriangleSoup, IsoStats) {
+    // One unbounded batch: the sink runs at most once, so it takes the
+    // soup instead of copying it.
     let mut soup = TriangleSoup::new();
     let stats = extract_streamed_view(grid, field.view(), iso, tree, usize::MAX, |batch| {
-        soup.extend_from(&batch);
+        soup = batch;
     });
     (soup, stats)
 }
@@ -130,6 +134,8 @@ pub fn extract_isosurface_soa_with_tree(
 /// gather; only straddling cells fall through to the scalar case-table
 /// triangulation, in exactly the storage order of the classic pass —
 /// the output stays byte-identical to [`extract_isosurface_oracle`].
+/// The lane chunks of every run are summed locally and recorded once
+/// per call.
 fn extract_streamed_view(
     grid: &CurvilinearBlock,
     field: ScalarFieldSoAView<'_>,
@@ -149,9 +155,11 @@ fn extract_streamed_view(
     let (ci, _, _) = grid.dims.cell_dims();
     let mut lo_buf = vec![0.0; ci];
     let mut hi_buf = vec![0.0; ci];
+    let mut lane_chunks = 0u64;
     let mut visit_run = |r: std::ops::Range<usize>, j: usize, k: usize| {
         let n = r.len();
         stats.cells_visited += n;
+        lane_chunks += lanes::chunks_for(n);
         let rows = [
             &field.row(j, k)[r.start..r.end + 1],
             &field.row(j + 1, k)[r.start..r.end + 1],
@@ -195,6 +203,7 @@ fn extract_streamed_view(
             Default::default()
         }
     };
+    lanes::record_chunks(lane_chunks);
     stats.cells_skipped = pruned.cells_skipped;
     stats.bricks_skipped = pruned.bricks_skipped;
     if !pending.is_empty() {

@@ -134,9 +134,26 @@ impl TriangleSoup {
         if b.remaining() != n.checked_mul(36)? {
             return None;
         }
-        // Decode in 12-byte vertex chunks instead of per-float gets.
-        let mut positions = Vec::with_capacity(3 * n);
-        for v in b.chunks_exact(12) {
+        let body: &[u8] = &b;
+        let mut positions: Vec<[f32; 3]> = Vec::with_capacity(3 * n);
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: the body holds exactly `3 * n` vertices of 12 bytes
+            // (checked above) and the Vec has room for them; `[f32; 3]`
+            // has no padding and every bit pattern is a valid `f32`, and
+            // on a little-endian target the wire format already is the
+            // in-memory representation — the mirror of `append_payload`.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    body.as_ptr(),
+                    positions.as_mut_ptr() as *mut u8,
+                    body.len(),
+                );
+                positions.set_len(3 * n);
+            }
+        }
+        #[cfg(not(target_endian = "little"))]
+        for v in body.chunks_exact(12) {
             positions.push([
                 f32::from_le_bytes([v[0], v[1], v[2], v[3]]),
                 f32::from_le_bytes([v[4], v[5], v[6], v[7]]),
@@ -270,6 +287,24 @@ mod tests {
         let b = s.to_bytes();
         let back = TriangleSoup::from_bytes(b).unwrap();
         assert_eq!(back, s);
+
+        // The bulk decode is bit-exact for every f32 class, at every soup
+        // size, and from a body that starts at an odd (unaligned) offset.
+        let special = [-0.0f32, 1e-40, f32::INFINITY, -1.5e38, 7.25];
+        for n_tri in [1usize, 3, 17] {
+            let positions = (0..3 * n_tri)
+                .map(|t| [special[t % 5], t as f32 * -0.5, special[(t + 2) % 5]])
+                .collect();
+            let s = TriangleSoup { positions };
+            let mut framed = vec![0xAB];
+            framed.extend_from_slice(&s.to_bytes());
+            let b = Bytes::from(framed).slice(1..4 + 36 * n_tri + 1);
+            let back = TriangleSoup::from_bytes(b).unwrap();
+            let bits = |s: &TriangleSoup| -> Vec<u32> {
+                s.positions.iter().flatten().map(|c| c.to_bits()).collect()
+            };
+            assert_eq!(bits(&back), bits(&s), "{n_tri} triangles");
+        }
     }
 
     #[test]
@@ -310,9 +345,22 @@ mod tests {
     #[test]
     fn soup_rejects_malformed_bytes() {
         assert!(TriangleSoup::from_bytes(Bytes::from_static(b"xy")).is_none());
-        let mut good = tri_soup().to_bytes().to_vec();
-        good.pop();
-        assert!(TriangleSoup::from_bytes(Bytes::from(good)).is_none());
+        let good = tri_soup().to_bytes().to_vec();
+        let mut short = good.clone();
+        short.pop();
+        assert!(TriangleSoup::from_bytes(Bytes::from(short)).is_none());
+        let mut long = good.clone();
+        long.push(0);
+        assert!(TriangleSoup::from_bytes(Bytes::from(long)).is_none());
+        // Counts larger than the body, up to `u32::MAX`, are rejected
+        // before anything is allocated.
+        let mut overcount = good.clone();
+        overcount[0] = 3;
+        assert!(TriangleSoup::from_bytes(Bytes::from(overcount)).is_none());
+        let mut huge = good;
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TriangleSoup::from_bytes(Bytes::from(huge)).is_none());
+        assert!(TriangleSoup::from_bytes(Bytes::from_static(&[1, 0, 0, 0])).is_none());
     }
 
     #[test]

@@ -58,10 +58,7 @@ impl ScalarField {
     /// ranges that feed pruning are additionally memoized next to the
     /// bricktree in `viracocha`'s derived-field cache.
     pub fn range(&self) -> Option<(f64, f64)> {
-        if self.values.is_empty() {
-            return None;
-        }
-        Some(lanes::min_max(&self.values))
+        ScalarFieldSoA::of(self).min_max()
     }
 
     /// One contiguous row of point samples at fixed `(j, k)`, `i` from
@@ -70,19 +67,6 @@ impl ScalarField {
     pub fn row(&self, j: usize, k: usize) -> &[f64] {
         let base = self.dims.point_index(0, j, k);
         &self.values[base..base + self.dims.ni]
-    }
-
-    /// Minimum and maximum over a half-open box of grid points, scanned
-    /// row-wise so the inner loop runs over contiguous slices of
-    /// `values`. This is the bulk primitive behind brick-range
-    /// construction (`vira-extract`'s min/max bricktree).
-    pub fn range_over_points(
-        &self,
-        i: std::ops::Range<usize>,
-        j: std::ops::Range<usize>,
-        k: std::ops::Range<usize>,
-    ) -> (f64, f64) {
-        ScalarFieldSoA::of(self).range_over_points(i, j, k)
     }
 
     /// Minimum and maximum over the eight corners of one cell.
@@ -186,10 +170,7 @@ impl ScalarFieldSoA {
     /// Lane-parallel minimum and maximum over the block; `None` when
     /// empty.
     pub fn min_max(&self) -> Option<(f64, f64)> {
-        if self.values.is_empty() {
-            return None;
-        }
-        Some(lanes::min_max(&self.values))
+        self.view().min_max()
     }
 
     /// Borrowing view over an existing AoS field (same layout, no copy).
@@ -244,9 +225,21 @@ impl ScalarFieldSoAView<'_> {
         &self.values[base..base + self.dims.ni]
     }
 
-    /// Minimum and maximum over a half-open box of grid points, row-wise
-    /// through the lane-parallel fold (same contract as
-    /// [`ScalarField::range_over_points`]).
+    /// Lane-parallel minimum and maximum over the block, recording its
+    /// lane chunks once; `None` when empty.
+    pub fn min_max(&self) -> Option<(f64, f64)> {
+        if self.values.is_empty() {
+            return None;
+        }
+        lanes::record_chunks(lanes::chunks_for(self.values.len()));
+        Some(lanes::min_max(self.values))
+    }
+
+    /// Minimum and maximum over a half-open box of grid points, scanned
+    /// row-wise so the inner loop runs over contiguous slices of
+    /// `values` — the bulk primitive behind brick-range construction
+    /// (`vira-extract`'s min/max bricktree). Pure: the caller records
+    /// the `k.len() · j.len() · chunks_for(i.len())` lane chunks.
     pub fn range_over_points(
         &self,
         i: std::ops::Range<usize>,

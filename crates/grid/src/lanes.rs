@@ -10,9 +10,13 @@
 //! fields produce NaN (singular Jacobians yield `+inf`, see
 //! `vira-extract::lambda2`).
 //!
-//! Every scan reports how many lane chunks it processed to the
-//! `extract_lane_chunks_total` counter so traces can attribute the
-//! vectorized work.
+//! The primitives here are pure: they never touch shared state. Each
+//! public kernel entry point built on them (bricktree construction, the
+//! contour scan, block min/max, magnitude, λ₂) sums [`chunks_for`] over
+//! exactly the slices it hands to the primitives and adds that total to
+//! the `extract_lane_chunks_total` counter once per call, via
+//! [`record_chunks`]. Bumping the shared counter per row instead would
+//! make co-located ranks serialise on its cache line.
 
 use std::sync::{Arc, OnceLock};
 use vira_obs as obs;
@@ -37,7 +41,8 @@ pub fn chunks_for(len: usize) -> u64 {
     len.div_ceil(LANES) as u64
 }
 
-/// Minimum and maximum of `values` via a lane-parallel scan.
+/// Minimum and maximum of `values` via a lane-parallel scan; its
+/// callers record `chunks_for(values.len())`.
 ///
 /// Returns `(+inf, -inf)` for an empty slice. NaN samples are skipped,
 /// matching the scalar `f64::min`/`f64::max` fold this replaces.
@@ -69,7 +74,6 @@ pub fn min_max_seeded(mut lo: f64, mut hi: f64, values: &[f64]) -> (f64, f64) {
         lo = if v < lo { v } else { lo };
         hi = if v > hi { v } else { hi };
     }
-    record_chunks(chunks_for(values.len()));
     (lo, hi)
 }
 
@@ -102,7 +106,6 @@ pub fn cell_ranges_along_i(rows: [&[f64]; 4], n: usize, out_lo: &mut [f64], out_
         out_lo[c] = pair_min(lo01, lo23);
         out_hi[c] = pair_max(hi01, hi23);
     }
-    record_chunks(chunks_for(n));
 }
 
 #[inline(always)]

@@ -348,7 +348,7 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
     // extraction kernels
     (
         "extract_lane_chunks_total",
-        "Lane-width chunks processed by vectorized extraction kernels",
+        "Lane-width chunks processed by vectorized extraction kernels, added once per kernel call",
     ),
     (
         "extract_threads_total",
