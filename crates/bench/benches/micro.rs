@@ -421,6 +421,12 @@ fn main() {
     h.bench("synth/engine_generate_item", || {
         engine.generate(black_box(BlockStepId::new(3, 7)))
     });
+    // The item a time-scrub DMS miss materialises: Propfan at res 8, a
+    // block in the axial segment of the first blade row.
+    let propfan = vira_grid::synth::propfan(8);
+    h.bench("synth/propfan_generate_item", || {
+        propfan.generate(black_box(BlockStepId::new(41, 7)))
+    });
 
     // ---- obs layer: with tracing disabled a span is one relaxed atomic
     // load; enabled, an open+drop pushes one fixed-size record into a

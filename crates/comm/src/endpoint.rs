@@ -60,6 +60,18 @@ impl<T: Transport> Endpoint<T> {
         self.inner.recv_timeout(timeout)
     }
 
+    /// Blocks until a message is ready or `timeout` passes, without
+    /// consuming it: the next [`try_recv_any`](Self::try_recv_any)
+    /// returns it. An idle wait built on this never lets one message
+    /// overtake earlier traffic, which a tag-selective wait would.
+    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<(), CommError> {
+        if self.buffered.is_empty() {
+            let m = self.inner.recv_timeout(timeout)?;
+            self.buffered.push_back(m);
+        }
+        Ok(())
+    }
+
     /// Blocks until a message with tag `tag` arrives; other messages are
     /// buffered in arrival order.
     pub fn recv_tag(&mut self, tag: Tag) -> Result<Message, CommError> {
@@ -229,6 +241,22 @@ mod tests {
             b.recv_any_timeout(Duration::from_millis(5)).unwrap_err(),
             CommError::Timeout
         );
+    }
+
+    #[test]
+    fn wait_timeout_keeps_arrival_order() {
+        let (a, mut b) = pair();
+        assert_eq!(
+            b.wait_timeout(Duration::from_millis(5)).unwrap_err(),
+            CommError::Timeout
+        );
+        a.send(1, 1, Bytes::from_static(b"first")).unwrap();
+        a.send(1, 2, Bytes::from_static(b"second")).unwrap();
+        b.wait_timeout(Duration::from_secs(5)).unwrap();
+        b.wait_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(b.buffered_len(), 1, "a wait holds at most one message");
+        assert_eq!(&b.try_recv_any().unwrap().unwrap().payload[..], b"first");
+        assert_eq!(&b.try_recv_any().unwrap().unwrap().payload[..], b"second");
     }
 
     #[test]

@@ -844,27 +844,18 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
         }
 
         // 6. Idle wait: block briefly on worker traffic so the loop does
-        // not spin. A completion arriving here is handled inline — the
-        // former re-send-to-self path copied the payload and cost an
-        // extra scheduler round-trip per result.
+        // not spin. Whatever arrives stays queued for step 2 of the next
+        // pass, which handles it in arrival order: a JOB_DONE picked out
+        // of the queue here would emit its Final ahead of CLIENT_EVENT
+        // packets that reached the hub before it, and the client stops
+        // collecting at the Final.
         if !progressed {
             let wait_started = Instant::now();
-            let waited = endpoint.recv_tag_timeout(tags::JOB_DONE, Duration::from_micros(500));
+            let waited = endpoint.wait_timeout(Duration::from_micros(500));
             obs::counter_cached(&IDLE_WAIT_NS, "sched_idle_wait_ns_total")
                 .add(wait_started.elapsed().as_nanos() as u64);
             match waited {
-                Ok(m) => handle_job_done(
-                    m.payload,
-                    &mut running,
-                    &mut free,
-                    &cancels,
-                    &clock,
-                    &link,
-                    &mut recent_finals,
-                    &mut residency,
-                    &mut tsdb,
-                ),
-                Err(CommError::Timeout) => {}
+                Ok(()) | Err(CommError::Timeout) => {}
                 Err(_) => return,
             }
         }

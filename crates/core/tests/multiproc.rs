@@ -399,11 +399,11 @@ fn spawn_rejoin_worker(sock: &Path, claim_rank: usize) -> Child {
     child
 }
 
-/// In-process ProgressiveIso run — the uncancelled triangle count the
-/// cross-process cancel leg must stay strictly below.
-/// Triangles per packet of the cancelled ProgressiveIso job.
-const CANCEL_BATCH: usize = 4;
+/// Triangles per packet of the streamed ProgressiveIso jobs.
+const STREAM_BATCH: usize = 4;
 
+/// In-process ProgressiveIso run — the triangle count an uncancelled
+/// socket run must match and the cancel leg must stay strictly below.
 fn in_process_progressive_triangles() -> u64 {
     let mut config = ViracochaConfig::for_tests(RANKS);
     config.proxy.prefetcher = "obl".into();
@@ -421,13 +421,52 @@ fn in_process_progressive_triangles() -> u64 {
                 .set("iso", 0.15)
                 .set("n_steps", 4)
                 .set("levels", 5)
-                .set("batch", CANCEL_BATCH),
+                .set("batch", STREAM_BATCH),
             workers: RANKS,
         })
         .expect("in-process progressive job");
     client.shutdown().expect("shutdown");
     backend.join();
     out.triangles.n_triangles() as u64
+}
+
+/// ProgressiveIso streams ~1,300 packets per job from remote workers
+/// as CLIENT_EVENT frames through the scheduler; an uncancelled job
+/// must deliver every one of them before its Final, on every repeat —
+/// the client stops collecting at the Final, so a JOB_DONE handled
+/// ahead of earlier CLIENT_EVENTs shows up as missing triangles.
+#[test]
+fn uncancelled_progressive_stream_is_complete() {
+    let _g = serial();
+    let full = in_process_progressive_triangles();
+    let tmp = TempDir::new("progressive");
+    let sock = tmp.path().join("hub.sock");
+    let jobs = 4;
+    let serve = spawn_serve(
+        &sock,
+        &[
+            "--spawn-local",
+            "--jobs",
+            &jobs.to_string(),
+            "--command",
+            "ProgressiveIso",
+            "--param",
+            "n_steps=4",
+            "--param",
+            "levels=5",
+            "--param",
+            &format!("batch={STREAM_BATCH}"),
+        ],
+    );
+    let stdout = wait_ok(serve, "vira serve (progressive)");
+    for job in 0..jobs {
+        let (ok, tris, degraded, retries) = parse_result(&stdout, job);
+        assert!(ok && !degraded && retries == 0, "job {job}:\n{stdout}");
+        assert_eq!(
+            tris, full,
+            "job {job} lost streamed packets ({tris} of {full} triangles):\n{stdout}"
+        );
+    }
 }
 
 /// Tentpole acceptance: a client-initiated cancel mid-stream crosses
@@ -463,7 +502,7 @@ fn cross_process_cancel_truncates_the_job() {
             "--param",
             "levels=5",
             "--param",
-            &format!("batch={CANCEL_BATCH}"),
+            &format!("batch={STREAM_BATCH}"),
             "--cancel-after-packets",
             "1",
         ],

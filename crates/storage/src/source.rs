@@ -143,11 +143,6 @@ impl CachedSynthSource {
             let _ = self.fetch(id);
         }
     }
-
-    /// Number of memoized items.
-    pub fn memoized(&self) -> usize {
-        self.memo.read().len()
-    }
 }
 
 impl DataSource for CachedSynthSource {
